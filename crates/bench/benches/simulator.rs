@@ -6,12 +6,12 @@
 //! best batch is reported, which is the usual way to suppress scheduler
 //! noise on a shared machine. Run with `cargo bench`.
 //!
-//! The `engine/` group is the one the execution-engine work cares
-//! about: it measures simulated-cycles-per-wall-second on a
-//! stall-heavy workload (naive MMU, single memory channel — warps
-//! spend most cycles waiting on serialized page walks) under both the
-//! idle-cycle-skipping engine and the legacy tick-every-cycle loop,
-//! and checks they agree on the simulated cycle count.
+//! The `engine/` group measures the drive loop itself:
+//! simulated-cycles-per-wall-second on a stall-heavy workload (naive
+//! MMU, single memory channel — warps spend most cycles waiting on
+//! serialized page walks), skipping idle cycles and under the
+//! per-cycle oracle (`tick_every_cycle`), and checks the two agree on
+//! the simulated cycle count.
 
 use gmmu::prelude::*;
 use gmmu_core::mmu::{Mmu, PageReq, TranslateBuf};
@@ -130,7 +130,7 @@ fn bench_full_runs() {
 
 /// Simulated-cycles-per-second of the global loop itself, on a
 /// stall-heavy workload where idle-cycle skipping has the most to
-/// skip. Reports both engines and the resulting speedup.
+/// skip. Reports both loop modes and the resulting speedup.
 fn bench_engine_throughput() {
     let w = build(Bench::Memcached, Scale::Tiny, 7);
     let mut cfg = GpuConfig::experiment_scale(MmuModel::naive());
@@ -156,7 +156,7 @@ fn bench_engine_throughput() {
     }
     assert_eq!(
         results[0].0, results[1].0,
-        "engines disagree on simulated cycles"
+        "loop modes disagree on simulated cycles"
     );
     println!(
         "engine/speedup             {:>8.2}x (event_skip over tick_every_cycle)",

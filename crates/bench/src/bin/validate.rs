@@ -1,11 +1,12 @@
-//! Cross-engine trace conformance harness.
+//! Trace conformance harness.
 //!
 //! For every benchmark, captures a GMTR trace of one run and replays it
-//! on all three execution engines (serial, parallel, event), with and
-//! without deterministic fault injection. Every replay must reproduce
-//! the captured run's statistics bit-identically (wall time excluded),
-//! and every replay runs with the metrics channel on: the versioned
-//! metrics snapshots of the three engines must be byte-identical too.
+//! twice — skipping idle cycles (`skip`) and under the per-cycle oracle
+//! (`oracle`, `GpuConfig::tick_every_cycle`) — with and without
+//! deterministic fault injection. Every replay must reproduce the
+//! captured run's statistics bit-identically (wall time excluded), and
+//! every replay runs with the metrics channel on: the versioned metrics
+//! snapshots of the two replays must be byte-identical too.
 //! Any difference is listed and fails the harness. Results are printed
 //! as a table and written to `BENCH_validate.json`.
 //!
@@ -45,7 +46,7 @@ struct Row {
     wall_s: f64,
     diff: Vec<&'static str>,
     /// FNV-1a 64 of the replay's metrics snapshot JSON; equal across
-    /// engines when the snapshot is engine-invariant.
+    /// the two loop modes.
     metrics_fnv: u64,
 }
 
@@ -65,11 +66,7 @@ fn main() {
         "bench", "run", "engine", "cycles", "wall_s"
     );
 
-    let engines = [
-        ("serial", EngineKind::Serial, 0usize),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ];
+    let engines = [("skip", false), ("oracle", true)];
     let mut rows: Vec<Row> = Vec::new();
     let mut failures = 0u32;
     let mut metrics_failures = 0u32;
@@ -83,10 +80,9 @@ fn main() {
             let bytes = capture(bench, opts.scale, opts.seed, &cfg, &source);
             let trace = Trace::decode(&bytes).expect("a just-captured trace must decode");
             let mut snapshots: Vec<String> = Vec::with_capacity(engines.len());
-            for (engine_name, engine, threads) in engines {
+            for (engine_name, every_cycle) in engines {
                 let mut replay_cfg = trace.launch.config.clone();
-                replay_cfg.engine = engine;
-                replay_cfg.run_threads = threads;
+                replay_cfg.tick_every_cycle = every_cycle;
                 let mut obs = Observer::off();
                 obs.metrics = Metrics::recording();
                 let started = Instant::now();
@@ -121,11 +117,11 @@ fn main() {
                 snapshots.push(snapshot);
             }
             // The snapshot is a pure fold of the run's metric events, so
-            // the three engines must render byte-identical JSON.
+            // both loop modes must render byte-identical JSON.
             if snapshots.iter().any(|s| s != &snapshots[0]) {
                 metrics_failures += 1;
                 eprintln!(
-                    "validate: metrics snapshots diverged across engines \
+                    "validate: metrics snapshots diverged between skip and oracle \
                      for {} ({variant})",
                     bench.name()
                 );
@@ -143,13 +139,13 @@ fn main() {
             eprintln!("validate: {failures} replay(s) diverged from their capture");
         }
         if metrics_failures > 0 {
-            eprintln!("validate: {metrics_failures} capture(s) with engine-variant metrics");
+            eprintln!("validate: {metrics_failures} capture(s) with oracle-variant metrics");
         }
         std::process::exit(1)
     }
     println!(
         "validate: {} replays, all statistics bit-identical to capture, \
-         all metrics snapshots engine-invariant",
+         all metrics snapshots identical under the oracle",
         rows.len()
     );
 }

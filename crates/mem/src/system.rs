@@ -98,28 +98,6 @@ impl MemConfig {
     }
 }
 
-/// The requester-side interface to the shared memory system.
-///
-/// Cores, walkers, and TBC units issue every L2/DRAM request through
-/// this trait rather than a concrete [`MemorySystem`], so an execution
-/// engine can interpose on the path — the parallel intra-run engine
-/// wraps the shared system in an ordering gate that serializes
-/// cross-core accesses into core-index order without the callers
-/// noticing. [`MemorySystem`] itself is the identity implementation.
-pub trait MemPort {
-    /// Issues one request at cycle `now` for physical line index
-    /// `line`; returns when it completes and where it hit. Semantics
-    /// are exactly [`MemorySystem::access`].
-    fn access(&mut self, now: Cycle, line: u64, kind: AccessKind) -> MemResult;
-}
-
-impl MemPort for MemorySystem {
-    #[inline]
-    fn access(&mut self, now: Cycle, line: u64, kind: AccessKind) -> MemResult {
-        MemorySystem::access(self, now, line, kind)
-    }
-}
-
 /// The shared L2 + DRAM system used by all cores and walkers.
 ///
 /// # Examples
@@ -236,9 +214,8 @@ impl MemorySystem {
     /// The memory system is purely *reactive*: it holds no queued work
     /// of its own — every access computes its completion time the
     /// moment it is issued, and the per-slice / per-channel
-    /// reservations are only consulted by later accesses. The
-    /// event-skipping engine therefore does not need this in its skip
-    /// bound (cores already track their own completion times); it is
+    /// reservations are only consulted by later accesses. The GPU's
+    /// drive loop therefore does not need this in its skip bound (cores already track their own completion times); it is
     /// exposed for diagnostics and API symmetry with the cores.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         self.slice_next_free

@@ -1,10 +1,10 @@
 //! A calendar queue of per-component wake times.
 //!
-//! The event-calendar engine replaces the per-cycle "scan every core"
-//! loop with one priority queue: every timer source in the machine —
+//! The GPU's drive loop keeps one priority queue instead of scanning
+//! every core every cycle: every timer source in the machine —
 //! each shader core, the CPU fault-handler queue, the shootdown-storm
 //! schedule, the interval sampler, the watchdog deadline — owns one
-//! *key* whose next wake cycle lives here. The engine pops the earliest
+//! *key* whose next wake cycle lives here. The loop pops the earliest
 //! wake, jumps the clock straight to it, and touches only the
 //! components whose keys fired.
 //!
@@ -29,7 +29,7 @@
 //! first valid hit clears the slot to [`NEVER`], killing the rest).
 //! Because the result is sorted by key at the end, the *order* in which
 //! the two tiers surface entries is immaterial — the wheel cannot
-//! perturb the serial engine's core-index tie-break.
+//! perturb the loop's core-index tie-break.
 
 use crate::{Cycle, NEVER};
 use std::cmp::Reverse;

@@ -8,7 +8,7 @@
 //! (page number, cycle), computed with the counter-based mixers in
 //! [`crate::rng`]: no injector state, no ordering sensitivity, so two
 //! runs with the same seed inject byte-identical fault schedules
-//! regardless of execution engine or sweep parallelism.
+//! regardless of idle-cycle skipping or sweep parallelism.
 //!
 //! With [`FaultInjectConfig::off`] (the default) every hook answers "no
 //! fault" without touching the RNG, which keeps injection-off runs
@@ -38,7 +38,8 @@ pub fn tenant_salt(asid: u16) -> u64 {
 /// Deterministically classifies the fault on `vpn` as *major* (backing
 /// data must be fetched before mapping) with probability `fraction`.
 /// Used by the GPU's modeled CPU fault handler; a pure function of the
-/// seed so both execution engines service identical fault schedules.
+/// seed, so skipping and the per-cycle oracle service identical fault
+/// schedules.
 pub fn major_fault(seed: u64, vpn: u64, fraction: f64) -> bool {
     fraction >= 1.0 || (fraction > 0.0 && unit(mix3(seed ^ SALT_MAJOR, vpn, 0)) < fraction)
 }

@@ -7,7 +7,7 @@
 //! reproducible* lives here.
 //!
 //! * [`calendar`] — the calendar queue of per-component wake times
-//!   behind the event-calendar execution engine.
+//!   behind the GPU's drive loop.
 //! * [`ckpt`] — the hand-rolled checkpoint codec (versioned compact
 //!   binary snapshots of simulation state).
 //! * [`rng`] — counter-based and xoshiro PRNGs plus distributions

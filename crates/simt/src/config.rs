@@ -133,31 +133,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// Which engine drives the per-cycle core loop inside a run.
-///
-/// Both engines produce bit-identical [`crate::gpu::RunStats`], traces,
-/// and fault schedules; the determinism suite enforces this. See
-/// DESIGN.md ("Execution engine") for the ordering protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// One thread ticks every core in index order (the reference).
-    #[default]
-    Serial,
-    /// Cores tick concurrently on a worker pool within each cycle;
-    /// shared-memory accesses are serialized into exact core-index
-    /// order, so the result is bit-identical to [`EngineKind::Serial`].
-    Parallel,
-    /// The event-calendar engine: per-component wake times live in a
-    /// [`gmmu_sim::calendar::Calendar`] and the clock jumps straight
-    /// between event cycles, ticking only the cores whose events fire.
-    /// Bit-identical to [`EngineKind::Serial`]; additionally supports
-    /// deterministic checkpoint/restore
-    /// ([`crate::gpu::Gpu::run_event_checkpointed`]). Ignored (falls
-    /// back to the standard loop) when `tick_every_cycle` or
-    /// `GMMU_TICK_EVERY_CYCLE` forces per-cycle ticking.
-    Event,
-}
-
 /// Full GPU configuration.
 #[derive(Debug, Clone)]
 pub struct GpuConfig {
@@ -187,21 +162,12 @@ pub struct GpuConfig {
     /// large pages (Section 9). With a 2 MiB granule every region the
     /// kernel touches must be backed by 2 MiB mappings.
     pub granule: PageSize,
-    /// Force the legacy tick-every-cycle global loop instead of the
-    /// idle-cycle-skipping engine. Both produce bit-identical
-    /// [`crate::gpu::RunStats`]; this exists as an escape hatch and for
-    /// the equivalence tests. The `GMMU_TICK_EVERY_CYCLE` environment
-    /// variable forces it on regardless of this field.
+    /// Test oracle: tick every core on every cycle instead of jumping
+    /// the clock between scheduled events. Both produce bit-identical
+    /// [`crate::gpu::RunStats`]; the equivalence tests compare them.
+    /// The `GMMU_TICK_EVERY_CYCLE` environment variable forces it on
+    /// regardless of this field (see [`GpuConfig::ticks_every_cycle`]).
     pub tick_every_cycle: bool,
-    /// Intra-run execution engine (orthogonal to `tick_every_cycle`:
-    /// the parallel engine supports both the idle-skipping and legacy
-    /// global loops).
-    pub engine: EngineKind,
-    /// Threads the parallel engine may use for one run, *including* the
-    /// calling thread (so `1` degenerates to serial even when `engine`
-    /// is [`EngineKind::Parallel`]). Has no effect under
-    /// [`EngineKind::Serial`]. Results never depend on this value.
-    pub run_threads: usize,
     /// Safety valve: abort a run after this many cycles.
     pub max_cycles: u64,
     /// Seed folded into workload construction (kept here so a whole
@@ -231,8 +197,6 @@ impl Default for GpuConfig {
             timings: CoreTimings::default(),
             granule: PageSize::Base4K,
             tick_every_cycle: false,
-            engine: EngineKind::Serial,
-            run_threads: 1,
             max_cycles: 200_000_000,
             seed: 0x5eed,
             fault: FaultConfig::off(),
@@ -264,6 +228,16 @@ impl GpuConfig {
             mmu,
             ..Self::default()
         }
+    }
+
+    /// Whether runs of this configuration tick every core on every
+    /// cycle: the [`GpuConfig::tick_every_cycle`] field, or the
+    /// `GMMU_TICK_EVERY_CYCLE` environment variable (read once per
+    /// process).
+    pub fn ticks_every_cycle(&self) -> bool {
+        static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        self.tick_every_cycle
+            || *FORCED.get_or_init(|| std::env::var_os("GMMU_TICK_EVERY_CYCLE").is_some())
     }
 
     /// Threads resident per core.
@@ -326,25 +300,6 @@ impl Ckpt for FaultConfig {
     }
 }
 
-impl Ckpt for EngineKind {
-    fn save(&self, w: &mut Saver) {
-        w.u8(match self {
-            EngineKind::Serial => 0,
-            EngineKind::Parallel => 1,
-            EngineKind::Event => 2,
-        });
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        *self = match r.u8()? {
-            0 => EngineKind::Serial,
-            1 => EngineKind::Parallel,
-            2 => EngineKind::Event,
-            _ => return Err(CkptError::Corrupt("unknown engine kind")),
-        };
-        Ok(())
-    }
-}
-
 impl Ckpt for GpuConfig {
     /// Serializes *every* field, so a trace or image carrying a
     /// `GpuConfig` can rebuild the exact machine in another process —
@@ -370,8 +325,10 @@ impl Ckpt for GpuConfig {
         self.timings.save(w);
         self.granule.save(w);
         w.bool(self.tick_every_cycle);
-        self.engine.save(w);
-        w.usize(self.run_threads);
+        // Two retired slots (an engine selector and a thread count)
+        // keep the GMTR/GMTM wire layout; they are written as constants.
+        w.u8(0);
+        w.usize(1);
         w.u64(self.max_cycles);
         w.u64(self.seed);
         self.fault.save(w);
@@ -397,8 +354,12 @@ impl Ckpt for GpuConfig {
         self.timings.load(r)?;
         self.granule.load(r)?;
         self.tick_every_cycle = r.bool()?;
-        self.engine.load(r)?;
-        self.run_threads = r.usize()?;
+        // The retired slots: any engine byte older writers produced is
+        // accepted, and the thread count is ignored.
+        if r.u8()? > 2 {
+            return Err(CkptError::Corrupt("unknown engine kind"));
+        }
+        r.usize()?;
         self.max_cycles = r.u64()?;
         self.seed = r.u64()?;
         self.fault.load(r)?;
@@ -427,6 +388,46 @@ mod tests {
         assert_eq!(full.warps_per_core, fast.warps_per_core);
         assert_eq!(full.l1, fast.l1);
         assert!(fast.n_cores < full.n_cores);
+    }
+
+    /// Bytes of `c` with the two retired slots overwritten.
+    fn with_retired_slots(c: &GpuConfig, engine: u8, threads: u8) -> Vec<u8> {
+        let mut w = Saver::new();
+        c.save(&mut w);
+        let mut bytes = w.into_bytes();
+        let mut tail = Saver::new();
+        tail.u64(c.max_cycles);
+        tail.u64(c.seed);
+        c.fault.save(&mut tail);
+        c.inject.save(&mut tail);
+        let at = bytes.len() - tail.len() - 2;
+        assert_eq!(&bytes[at..at + 2], &[0, 1], "retired slots hold (0, 1)");
+        bytes[at] = engine;
+        bytes[at + 1] = threads;
+        bytes
+    }
+
+    #[test]
+    fn retired_engine_slots_are_read_and_ignored() {
+        let c = GpuConfig {
+            n_cores: 3,
+            tick_every_cycle: true,
+            seed: 99,
+            ..GpuConfig::default()
+        };
+        for (engine, threads) in [(0, 1), (1, 2), (2, 4)] {
+            let bytes = with_retired_slots(&c, engine, threads);
+            let mut back = GpuConfig::default();
+            let mut r = Loader::new(&bytes);
+            back.load(&mut r).expect("old engine slots decode");
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(format!("{back:?}"), format!("{c:?}"));
+        }
+        let bytes = with_retired_slots(&c, 3, 1);
+        assert_eq!(
+            GpuConfig::default().load(&mut Loader::new(&bytes)),
+            Err(CkptError::Corrupt("unknown engine kind"))
+        );
     }
 
     #[test]

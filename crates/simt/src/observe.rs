@@ -163,8 +163,8 @@ impl IntervalRecorder {
     }
 
     /// The next sample boundary — the cycle at which [`IntervalRecorder::due`]
-    /// first becomes true. The event-calendar engine schedules its
-    /// sampler key here.
+    /// first becomes true. The drive loop schedules its sampler key
+    /// here.
     #[inline]
     pub fn next_boundary(&self) -> Cycle {
         self.next

@@ -78,7 +78,7 @@ pub struct TraceLaunch {
 ///
 /// Records are emitted warp-major, then site-ascending, then
 /// iteration-ascending, so the byte stream is identical no matter which
-/// engine (or how many worker threads) produced the capture.
+/// way the capture's cycles were driven.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// The access footprint of one warp's execution of a memory site:

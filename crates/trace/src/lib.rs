@@ -8,7 +8,7 @@
 //! sufficient: record every answer a kernel gives during one run
 //! ([`capture::Recorder`]), and a kernel reconstructed from those
 //! answers ([`replay::TraceKernel`]) is indistinguishable to the
-//! simulator — any engine replays the captured run bit-identically,
+//! simulator — a replay reproduces the captured run bit-identically,
 //! which the `validate` bench harness and `tests/trace.rs` enforce.
 //!
 //! The on-disk format (`GMTR` v1, [`format`]) is self-contained: one

@@ -264,8 +264,8 @@ pub fn capture_tenants(
 }
 
 /// Replays a multi-tenant trace on the machine described by `config`
-/// (normally tenant 0's captured config, possibly with the engine or
-/// worker count overridden — both are stats-invariant). Returns the
+/// (normally tenant 0's captured config, possibly with
+/// `tick_every_cycle` overridden — it is stats-invariant). Returns the
 /// run's statistics and, when the observer's metrics channel is on, the
 /// versioned metrics snapshot. Compare against [`MultiTrace::stats`]
 /// with [`RunStats::diff`]: an empty diff is the conformance contract.

@@ -12,7 +12,7 @@
 //! fairness.
 //!
 //! Everything is a pure function of `(scenario seed, tenant index)`, so
-//! scenarios are reproducible across engines, processes, and replays.
+//! scenarios are reproducible across runs, processes, and replays.
 
 use crate::{build_tenant_paged, Bench, Scale, Workload};
 use gmmu_sim::fault::{FaultInjectConfig, FaultInjector};

@@ -141,9 +141,10 @@ fn stream_setup(trips: u32) -> (AddressSpace, StreamKernel, GpuConfig) {
     (space, kernel, cfg)
 }
 
-/// The serial engine's steady-state loop body — `ShaderCore::tick`
-/// against the memory system — performs zero heap allocations once
-/// every scratch buffer has reached its high-water mark.
+/// The per-cycle loop body — `ShaderCore::tick` against the memory
+/// system on every cycle, as under the `tick_every_cycle` oracle —
+/// performs zero heap allocations once every scratch buffer has reached
+/// its high-water mark.
 fn serial_tick_loop_is_allocation_free() {
     let (space, kernel, cfg) = stream_setup(u32::MAX);
     let mut core = ShaderCore::new(0, &cfg);
@@ -177,14 +178,14 @@ fn serial_tick_loop_is_allocation_free() {
     assert_eq!(
         after - before,
         0,
-        "serial steady state allocated {} times over {} cycles",
+        "per-cycle steady state allocated {} times over {} cycles",
         after - before,
         window
     );
 }
 
-/// The event-calendar engine's steady-state loop body — `take_due`,
-/// per-core ticks, `next_event_at`, and rescheduling — is also
+/// The drive loop's steady-state body — `take_due`, per-core ticks,
+/// `next_event_at`, and rescheduling on the event calendar — is also
 /// allocation-free after warm-up.
 fn event_loop_is_allocation_free() {
     use gmmu_sim::calendar::Calendar;
@@ -255,23 +256,18 @@ fn event_loop_is_allocation_free() {
     );
 }
 
-/// Whole-run allocation budget per engine: one tiny workload end to
-/// end, counting *everything* (construction, warm-up, teardown). The
-/// budget is deliberately loose — it documents the order of magnitude
-/// and catches a reintroduced per-cycle allocation, which would blow
-/// through it by 100x. The parallel engine's budget includes its
-/// per-run worker threads and staging buffers.
+/// Whole-run allocation budget, skipping idle cycles and under the
+/// per-cycle oracle: one tiny workload end to end, counting
+/// *everything* (construction, warm-up, teardown). The budget is
+/// deliberately loose — it documents the order of magnitude and catches
+/// a reintroduced per-cycle allocation, which would blow through it by
+/// 100x.
 fn whole_run_allocation_budget_per_engine() {
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
-    for (engine, threads, budget) in [
-        (EngineKind::Serial, 1usize, 60u64),
-        (EngineKind::Event, 1, 60),
-        (EngineKind::Parallel, 2, 60),
-    ] {
+    for (mode, every_cycle, budget) in [("skip", false, 60u64), ("oracle", true, 60)] {
         let mut cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = every_cycle;
         // First run warms nothing across runs (each run builds a fresh
         // GPU), so measure a single complete run.
         let before = allocs();
@@ -280,7 +276,7 @@ fn whole_run_allocation_budget_per_engine() {
         let per_kcycle = (after - before) as f64 / (stats.cycles as f64 / 1000.0);
         assert!(
             per_kcycle <= budget as f64,
-            "{engine:?}: {:.1} allocs per simulated kilocycle (budget {budget}) \
+            "{mode}: {:.1} allocs per simulated kilocycle (budget {budget}) \
              over {} cycles",
             per_kcycle,
             stats.cycles,

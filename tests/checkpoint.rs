@@ -2,8 +2,9 @@
 //! snapshotted mid-flight and resumed in a fresh process-equivalent
 //! (new `Gpu`, new workload build, new observer) must finish
 //! bit-identical to an uninterrupted run — same `RunStats`, same span
-//! trace, same interval time-series — across the whole engine matrix
-//! and under demand paging, shootdown storms, and the mixed fault soup.
+//! trace, same interval time-series — across a six-workload matrix,
+//! with and without the per-cycle oracle, and under demand paging,
+//! shootdown storms, and the mixed fault soup.
 
 use gmmu::experiments::{designs, ExperimentOpts};
 use gmmu::prelude::*;
@@ -74,8 +75,8 @@ fn observer() -> Observer {
     }
 }
 
-/// Runs `bench` under `cfg` on the checkpointed event engine; returns
-/// the stats, the observer, and every emitted checkpoint image.
+/// Runs `bench` under `cfg` with checkpointing; returns the stats, the
+/// observer, and every emitted checkpoint image.
 fn run_ckpt(
     bench: Bench,
     cfg: &GpuConfig,
@@ -91,7 +92,7 @@ fn run_ckpt(
     let mut images: Vec<Vec<u8>> = Vec::new();
     let mut sink = |b: &[u8]| images.push(b.to_vec());
     let stats = Gpu::new(cfg.clone())
-        .run_event_checkpointed(
+        .run_checkpointed(
             w.kernel.as_ref(),
             &mut w.space,
             &mut obs,
@@ -123,9 +124,10 @@ fn assert_observers_same(a: &Observer, b: &Observer, what: &str) {
     );
 }
 
-/// Snapshot/restore across the six-workload engine matrix: resume from
-/// a mid-run image and from the last image, with tracing and interval
-/// sampling attached, and require byte-identical results.
+/// Snapshot/restore across the six-workload matrix: resume from a
+/// mid-run image and from the last image, with tracing and interval
+/// sampling attached, and require byte-identical results — also under
+/// the per-cycle oracle, whose images resume like any other.
 #[test]
 fn checkpoint_roundtrip_is_bit_identical_across_the_matrix() {
     type Configure = fn(&mut GpuConfig);
@@ -148,12 +150,17 @@ fn checkpoint_roundtrip_is_bit_identical_across_the_matrix() {
     for (bench, name, configure) in matrix {
         let mut cfg = ExperimentOpts::quick().gpu(MmuModel::Ideal);
         configure(&mut cfg);
-        cfg.engine = EngineKind::Event;
 
-        // Uninterrupted reference (emission off: `every == 0`).
+        // Uninterrupted reference (emission off: `every == 0`), which
+        // is exactly the unobserved plain run.
         let (reference, obs_ref, none) = run_ckpt(bench, &cfg, None, 0, None);
         assert!(none.is_empty(), "{bench}/{name}: emitted without a period");
         assert!(reference.completed, "{bench}/{name} hit the cycle cap");
+        let plain = {
+            let w = build(bench, Scale::Tiny, 7);
+            Gpu::new(cfg.clone()).run(w.kernel.as_ref(), &w.space)
+        };
+        assert_same(&reference, &plain, &format!("{bench}/{name} plain"));
 
         // Checkpointing run: ~3 images across the run. Emission must
         // not perturb the run itself.
@@ -188,6 +195,26 @@ fn checkpoint_roundtrip_is_bit_identical_across_the_matrix() {
                 &format!("{bench}/{name} resumed-from-{tag}"),
             );
         }
+
+        // The per-cycle oracle emits at other visited cycles, but it
+        // ends in the same state, and its mid-run image resumes to it.
+        let mut oracle_cfg = cfg.clone();
+        oracle_cfg.tick_every_cycle = true;
+        let (oracle, obs_oracle, images) = run_ckpt(bench, &oracle_cfg, None, every, None);
+        assert_same(&reference, &oracle, &format!("{bench}/{name} oracle"));
+        assert_observers_same(&obs_ref, &obs_oracle, &format!("{bench}/{name} oracle"));
+        let img = &images[images.len() / 2];
+        let (resumed, obs_res, _) = run_ckpt(bench, &oracle_cfg, None, 0, Some(img));
+        assert_same(
+            &reference,
+            &resumed,
+            &format!("{bench}/{name} oracle resumed"),
+        );
+        assert_observers_same(
+            &obs_ref,
+            &obs_res,
+            &format!("{bench}/{name} oracle resumed"),
+        );
     }
 }
 
@@ -215,7 +242,6 @@ fn checkpoint_roundtrip_mid_fault_storm() {
         let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
         cfg.fault = FaultConfig::demand();
         cfg.inject = Some(inject);
-        cfg.engine = EngineKind::Event;
         // Storms remap fully-mapped regions; the other cases start
         // demand-paged with first-touch faults.
         let demand = name != "storm";
@@ -228,6 +254,11 @@ fn checkpoint_roundtrip_mid_fault_storm() {
         } else {
             assert!(reference.shootdowns > 0, "{name}: no storms landed");
         }
+        let mut oracle_cfg = cfg.clone();
+        oracle_cfg.tick_every_cycle = true;
+        let (oracle, obs_oracle, _) = run_ckpt(bench, &oracle_cfg, inj, 0, None);
+        assert_same(&reference, &oracle, &format!("{name} oracle"));
+        assert_observers_same(&obs_ref, &obs_oracle, &format!("{name} oracle"));
 
         let every = (reference.cycles / 4).max(1);
         let (ckpt_stats, _, images) = run_ckpt(bench, &cfg, inj, every, None);
@@ -242,7 +273,7 @@ fn checkpoint_roundtrip_mid_fault_storm() {
 }
 
 /// A replayed trace is checkpointable like any other run: snapshot the
-/// replay mid-flight on the event engine, resume from the image in a
+/// replay mid-flight, resume from the image in a
 /// fresh process-equivalent (new trace kernel, freshly rebuilt address
 /// space, new observer), and the end state must still match the stats
 /// embedded in the trace bit-identically.
@@ -259,9 +290,8 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
     let bytes = assemble(launch, rec, &stats).encode();
     let trace = Trace::decode(&bytes).expect("trace decodes");
 
-    // Replay on the checkpointed event engine, emitting ~3 images.
-    let mut replay_cfg = trace.launch.config.clone();
-    replay_cfg.engine = EngineKind::Event;
+    // Replay with checkpointing, emitting ~3 images.
+    let replay_cfg = trace.launch.config.clone();
     let run = |every: u64, resume: Option<&[u8]>| -> (RunStats, Observer, Vec<Vec<u8>>) {
         let kernel = TraceKernel::from_trace(&trace).expect("records expand");
         let mut space = rebuild_space(&trace.launch).expect("space rebuilds");
@@ -269,7 +299,7 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
         let mut images: Vec<Vec<u8>> = Vec::new();
         let mut sink = |b: &[u8]| images.push(b.to_vec());
         let stats = Gpu::new(replay_cfg.clone())
-            .run_event_checkpointed(
+            .run_checkpointed(
                 &kernel,
                 &mut space,
                 &mut obs,
@@ -298,8 +328,7 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
 /// is refused, and garbage is rejected by magic.
 #[test]
 fn checkpoint_refuses_foreign_or_corrupt_images() {
-    let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
-    cfg.engine = EngineKind::Event;
+    let cfg = ExperimentOpts::quick().gpu(designs::augmented());
     let (reference, _, _) = run_ckpt(Bench::Bfs, &cfg, None, 0, None);
     let every = (reference.cycles / 2).max(1);
     let (_, _, images) = run_ckpt(Bench::Bfs, &cfg, None, every, None);
@@ -309,7 +338,7 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
         let mut w = build(Bench::Bfs, Scale::Tiny, 7);
         let mut obs = observer();
         let mut sink = |_: &[u8]| {};
-        Gpu::new(cfg.clone()).run_event_checkpointed(
+        Gpu::new(cfg.clone()).run_checkpointed(
             w.kernel.as_ref(),
             &mut w.space,
             &mut obs,
@@ -350,7 +379,7 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
         let mut obs = Observer::off();
         let mut sink = |_: &[u8]| {};
         let err = Gpu::new(cfg.clone())
-            .run_event_checkpointed(
+            .run_checkpointed(
                 w.kernel.as_ref(),
                 &mut w.space,
                 &mut obs,
@@ -373,10 +402,10 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
 }
 
 /// Multi-tenant snapshot/restore with the storm machinery hot: a
-/// 2-tenant scenario under the mixed fault soup, checkpointed on the
-/// event engine, must resume from every emitted image — including
-/// images taken mid-storm with cross-tenant faults queued — to the
-/// identical end state, per-tenant slice included.
+/// 2-tenant scenario under the mixed fault soup, checkpointed, must
+/// resume from every emitted image — including images taken mid-storm
+/// with cross-tenant faults queued — to the identical end state,
+/// per-tenant slice included, which is also the per-cycle oracle's.
 #[test]
 fn multitenant_checkpoint_mid_storm_kill_and_resume() {
     use gmmu_simt::{TenantJob, TenantPolicy};
@@ -386,13 +415,15 @@ fn multitenant_checkpoint_mid_storm_kill_and_resume() {
     let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
     cfg.fault = FaultConfig::demand();
     cfg.inject = Some(inject);
-    cfg.engine = EngineKind::Event;
     let policy = TenantPolicy {
         watchdog: 2_000_000,
         ..TenantPolicy::default()
     };
 
-    let run = |every: u64, resume: Option<&[u8]>| -> (RunStats, Observer, Vec<Vec<u8>>) {
+    let run_with = |cfg: &GpuConfig,
+                    every: u64,
+                    resume: Option<&[u8]>|
+     -> (RunStats, Observer, Vec<Vec<u8>>) {
         let sc = scenario(2, Scale::Tiny, 7, true);
         let (mut built, _) = sc.build_demand_paged(&inject);
         let mut jobs: Vec<TenantJob<'_>> = built
@@ -419,6 +450,7 @@ fn multitenant_checkpoint_mid_storm_kill_and_resume() {
             .expect("multi-tenant checkpointed run failed");
         (stats, obs, images)
     };
+    let run = |every: u64, resume: Option<&[u8]>| run_with(&cfg, every, resume);
 
     let (reference, obs_ref, none) = run(0, None);
     assert!(none.is_empty(), "emitted without a period");
@@ -427,6 +459,12 @@ fn multitenant_checkpoint_mid_storm_kill_and_resume() {
     assert!(reference.shootdowns > 0, "no storms landed");
     assert!(reference.faults > 0, "nothing faulted");
     assert_eq!(reference.tenants.len(), 2);
+    let mut oracle_cfg = cfg.clone();
+    oracle_cfg.tick_every_cycle = true;
+    let (oracle, obs_oracle, _) = run_with(&oracle_cfg, 0, None);
+    assert_same(&reference, &oracle, "mt oracle");
+    assert_eq!(reference.tenants, oracle.tenants);
+    assert_observers_same(&obs_ref, &obs_oracle, "mt oracle");
 
     let every = (reference.cycles / 4).max(1);
     let (ckpt_stats, _, images) = run(every, None);

@@ -8,31 +8,28 @@ fn quick() -> Runner {
     Runner::new(ExperimentOpts::quick())
 }
 
-fn quick_event() -> Runner {
-    let mut opts = ExperimentOpts::quick();
-    opts.engine = EngineKind::Event;
-    Runner::new(opts)
-}
-
-/// Engine choice is presentation, not machine: every figure invariant
-/// above holds on `--engine event` because the event engine reproduces
-/// the serial engine bit for bit — checked here across every workload,
-/// the naive and augmented MMUs, and the TBC / TA-CCWS features.
+/// Skipping idle cycles is an optimisation, not a machine: the event
+/// calendar's skip-ahead reproduces the per-cycle oracle
+/// (`tick_every_cycle`) bit for bit — checked here across every
+/// workload, the naive and augmented MMUs, and the TBC / TA-CCWS
+/// features.
 #[test]
 fn event_engine_reproduces_serial_results_end_to_end() {
-    let mut serial = quick();
-    let mut event = quick_event();
+    let mut r = quick();
     for b in Bench::all() {
         for (name, model) in [
             ("naive3", designs::naive3()),
             ("augmented", designs::augmented()),
         ] {
-            let s = serial.run(b, |c| c.mmu = model);
-            let e = event.run(b, |c| c.mmu = model);
+            let s = r.run(b, |c| c.mmu = model);
+            let e = r.run(b, |c| {
+                c.mmu = model;
+                c.tick_every_cycle = true;
+            });
             let diff = s.diff(&e);
             assert!(
                 diff.is_empty(),
-                "{b}/{name}: event engine diverged from serial in {diff:?}"
+                "{b}/{name}: skipping diverged from the per-cycle oracle in {diff:?}"
             );
         }
     }
@@ -48,12 +45,15 @@ fn event_engine_reproduces_serial_results_end_to_end() {
         }),
     ];
     for (name, configure) in features {
-        let s = serial.run(Bench::Mummergpu, configure);
-        let e = event.run(Bench::Mummergpu, configure);
+        let s = r.run(Bench::Mummergpu, configure);
+        let e = r.run(Bench::Mummergpu, |c| {
+            configure(c);
+            c.tick_every_cycle = true;
+        });
         let diff = s.diff(&e);
         assert!(
             diff.is_empty(),
-            "mummergpu/{name}: event engine diverged from serial in {diff:?}"
+            "mummergpu/{name}: skipping diverged from the per-cycle oracle in {diff:?}"
         );
     }
 }

@@ -336,9 +336,9 @@ fn shootdown_replay_never_yields_stale_translations() {
     });
 }
 
-/// End-to-end storm replay: mid-run unmap/remap storms leave both
-/// execution engines in full agreement — same cycles, same fault and
-/// shootdown counts — and the run still completes.
+/// End-to-end storm replay: mid-run unmap/remap storms leave skipping
+/// and the per-cycle oracle in full agreement — same cycles, same fault
+/// and shootdown counts — and the run still completes.
 #[test]
 fn storm_replay_agrees_across_engines() {
     use gmmu::experiments::{designs, ExperimentOpts};
@@ -355,7 +355,10 @@ fn storm_replay_agrees_across_engines() {
         let skip = run_with(false);
         let tick = run_with(true);
         assert!(skip.completed, "seed {seed}: storm run hit the cycle cap");
-        assert_eq!(skip.cycles, tick.cycles, "seed {seed}: engines disagree");
+        assert_eq!(
+            skip.cycles, tick.cycles,
+            "seed {seed}: the per-cycle oracle disagrees"
+        );
         assert_eq!(skip.instructions, tick.instructions);
         assert_eq!(skip.shootdowns, tick.shootdowns);
         assert_eq!(skip.squashed_walks, tick.squashed_walks);

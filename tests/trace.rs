@@ -1,6 +1,6 @@
 //! Trace capture/replay conformance: a run recorded to a GMTR trace and
-//! replayed through any execution engine must reproduce the captured
-//! run's statistics bit-identically — with and without fault injection —
+//! replayed — skipping idle cycles or under the per-cycle oracle — must
+//! reproduce the captured run's statistics bit-identically — with and without fault injection —
 //! and the format must refuse foreign, truncated, tampered, or
 //! future-versioned files. Committed golden fixtures pin the byte format
 //! itself: re-capturing a replayed golden run must reproduce the
@@ -8,12 +8,15 @@
 
 use gmmu::experiments::{designs, ExperimentOpts};
 use gmmu::prelude::*;
-use gmmu_sim::ckpt::CkptError;
+use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
 use gmmu_sim::metrics::Metrics;
 use gmmu_trace::{
     assemble, capture_launch, rebuild_space, replay_run, replay_run_observed, Recorder, Trace,
-    TraceKernel,
+    TraceKernel, TRACE_MAGIC, TRACE_VERSION,
 };
+
+/// The two replay arms: idle-cycle skipping and the per-cycle oracle.
+const LOOP_MODES: [(&str, bool); 2] = [("skip", false), ("oracle", true)];
 
 /// Captures `bench` (Tiny scale, seed 7) under `cfg`, returning the
 /// encoded trace and the capture run's stats.
@@ -30,19 +33,13 @@ fn capture(bench: Bench, cfg: &GpuConfig) -> (Vec<u8>, RunStats) {
     (trace.encode(), stats)
 }
 
-/// Replays `bytes` on each engine; every replay must match the stats
-/// embedded in the trace exactly (ignoring `wall_s`).
+/// Replays `bytes` in both loop modes; every replay must match the
+/// stats embedded in the trace exactly (ignoring `wall_s`).
 fn assert_replays_match(bytes: &[u8], what: &str) {
     let trace = Trace::decode(bytes).expect("trace decodes");
-    let engines = [
-        ("serial", EngineKind::Serial, 0),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ];
-    for (name, engine, threads) in engines {
+    for (name, every_cycle) in LOOP_MODES {
         let mut cfg = trace.launch.config.clone();
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = every_cycle;
         let replayed = replay_run(&trace, &cfg).expect("replay runs");
         let diff = trace.stats.diff(&replayed);
         assert!(
@@ -73,8 +70,9 @@ fn capture_does_not_perturb_the_run() {
 }
 
 /// Replaying a trace while recording it again must reproduce the
-/// original file byte for byte: the canonical record order is engine-
-/// independent and the launch section survives the round trip.
+/// original file byte for byte: the canonical record order is
+/// independent of how the run was driven and the launch section
+/// survives the round trip.
 #[test]
 fn recapturing_a_replay_is_byte_identical() {
     let cfg = ExperimentOpts::quick().gpu(designs::augmented());
@@ -141,7 +139,7 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
 }
 
 /// The committed golden fixtures decode, re-encode byte-identically,
-/// replay to their embedded stats on every engine, and re-capture to
+/// replay to their embedded stats in both loop modes, and re-capture to
 /// the committed bytes. This pins the GMTR v1 byte format: an
 /// accidental layout change fails here even if round-trip tests still
 /// pass against the changed code.
@@ -176,8 +174,8 @@ fn golden_fixtures_replay_and_recapture_byte_identically() {
 
 /// The committed metrics snapshot fixture pins the snapshot JSON schema:
 /// replaying the golden pathfinder trace with the metrics channel on
-/// must reproduce `metrics_pathfinder_tiny.json` byte for byte, on every
-/// engine. A schema change (new field, renamed instrument, different
+/// must reproduce `metrics_pathfinder_tiny.json` byte for byte, with and
+/// without the per-cycle oracle. A schema change (new field, renamed instrument, different
 /// float formatting) fails here and forces a deliberate fixture bump via
 /// `GMMU_EMIT_GOLDEN`.
 #[test]
@@ -188,14 +186,9 @@ fn golden_metrics_snapshot_matches_committed_fixture() {
     let golden = std::fs::read_to_string(format!("{dir}/metrics_pathfinder_tiny.json"))
         .expect("missing golden fixture metrics_pathfinder_tiny.json");
     let trace = Trace::decode(&bytes).expect("golden fixture decodes");
-    for (name, engine, threads) in [
-        ("serial", EngineKind::Serial, 0),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ] {
+    for (name, every_cycle) in LOOP_MODES {
         let mut cfg = trace.launch.config.clone();
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = every_cycle;
         let mut obs = Observer::off();
         obs.metrics = Metrics::recording();
         let (_, snapshot) = replay_run_observed(&trace, &cfg, &mut obs).expect("replay runs");
@@ -209,8 +202,8 @@ fn golden_metrics_snapshot_matches_committed_fixture() {
 
 /// Multi-tenant capture/replay conformance: a 2-tenant Zipf scenario
 /// under the mixed fault soup, captured to a GMTM container, must
-/// replay bit-identically (combined stats *and* per-tenant slice) on
-/// all three engines, and re-encoding the decoded trace reproduces the
+/// replay bit-identically (combined stats *and* per-tenant slice) in
+/// both loop modes, and re-encoding the decoded trace reproduces the
 /// bytes.
 #[test]
 fn multitenant_capture_replay_round_trips() {
@@ -248,14 +241,9 @@ fn multitenant_capture_replay_round_trips() {
     assert_eq!(back.encode(), bytes, "re-encode is not byte-identical");
     assert_eq!(back.stats.tenants, stats.tenants);
 
-    for (name, engine, threads) in [
-        ("serial", EngineKind::Serial, 0),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ] {
+    for (name, every_cycle) in LOOP_MODES {
         let mut rcfg = back.tenants[0].launch.config.clone();
-        rcfg.engine = engine;
-        rcfg.run_threads = threads;
+        rcfg.tick_every_cycle = every_cycle;
         let (replayed, _) =
             replay_tenants(&back, &rcfg, &mut Observer::off()).expect("GMTM replays");
         let diff = back.stats.diff(&replayed);
@@ -265,4 +253,62 @@ fn multitenant_capture_replay_round_trips() {
             "{name}: per-tenant slice diverged"
         );
     }
+}
+
+/// Rewrites the two retired slots of a trace's `GpuConfig` (an engine
+/// selector and a thread count, written as `0` and `1` today) to
+/// `(engine, threads)` — what an older writer could have stored — and
+/// re-signs the launch section. Both slots are one-byte varints, so the
+/// section keeps its length.
+fn with_retired_slots(bytes: &[u8], engine: u8, threads: u8) -> Vec<u8> {
+    let trace = Trace::decode(bytes).expect("trace decodes");
+    let cfg = &trace.launch.config;
+    // Config fields after the slots: max_cycles, seed, fault, inject.
+    let mut after = Saver::new();
+    after.u64(cfg.max_cycles);
+    after.u64(cfg.seed);
+    cfg.fault.save(&mut after);
+    cfg.inject.save(&mut after);
+    // The launch section ends with the config, then the source string.
+    let mut source = Saver::new();
+    source.str(&trace.launch.source);
+
+    let mut r = Loader::new(bytes);
+    r.header(&TRACE_MAGIC, TRACE_VERSION).expect("header");
+    let mut launch = r.bytes().expect("launch section").to_vec();
+    let rest = &bytes[bytes.len() - r.remaining()..];
+    let at = launch.len() - source.len() - after.len() - 2;
+    assert_eq!(&launch[at..at + 2], &[0, 1], "retired slots hold (0, 1)");
+    launch[at] = engine;
+    launch[at + 1] = threads;
+
+    let mut w = Saver::new();
+    w.header(&TRACE_MAGIC, TRACE_VERSION, fnv1a64(&launch));
+    w.bytes(&launch);
+    let mut out = w.into_bytes();
+    out.extend_from_slice(rest);
+    out
+}
+
+/// Traces written when `GpuConfig` still selected an engine and a
+/// thread count decode, replay to their embedded stats, and re-encode to
+/// today's bytes; an engine byte no writer ever produced is refused.
+#[test]
+fn traces_with_retired_engine_slots_replay() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/pathfinder_tiny.gmtr"
+    );
+    let bytes = std::fs::read(path).expect("missing golden fixture pathfinder_tiny.gmtr");
+    let old = with_retired_slots(&bytes, 2, 4);
+    assert_ne!(old, bytes);
+    assert_replays_match(&old, "pathfinder_tiny with slots (2, 4)");
+    let trace = Trace::decode(&old).expect("old slots decode");
+    assert_eq!(trace.encode(), bytes, "re-encode writes today's constants");
+
+    let unknown = with_retired_slots(&bytes, 3, 1);
+    assert_eq!(
+        Trace::decode(&unknown).unwrap_err(),
+        CkptError::Corrupt("unknown engine kind")
+    );
 }
